@@ -215,6 +215,26 @@ fn run_json_benches(path: &str, force: bool) {
         );
     }
     {
+        let stats =
+            gact_parallel::with_threads(1, || build_lt_showcase(2, 1, 3).expect("witness").stats);
+        push(
+            measure("lt_pipeline/build_showcase_3_stages", 3, || {
+                build_lt_showcase(2, 1, 3).expect("witness")
+            })
+            .with_solver(effort(stats)),
+        );
+    }
+    {
+        let show = build_lt_showcase(2, 1, 3).expect("witness");
+        let runs = enumerate_runs(3, 0);
+        assert_eq!(runs.len(), 25);
+        push(measure("lt_pipeline/verify_wf_25_runs", 5, || {
+            let reports = verify_protocol_on_runs(&show.certificate, &show.affine.task, &runs, 14);
+            let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
+            assert_eq!(violations, 42, "the solo-reaching runs cannot decide");
+        }));
+    }
+    {
         let show = build_lt_showcase(2, 1, 2).expect("witness");
         let mut sampler = RunSampler::new(
             3,

@@ -145,37 +145,38 @@ impl GactCertificate {
         max_stage: usize,
     ) -> Option<Simplex> {
         let chroma = self.subdivision.current();
+        let first = points.first()?;
         self.with_locator(|loc| {
             let mut best: Option<Simplex> = None;
-            'facet: for (facet, sl) in loc.entries() {
-                if !needed.is_subset_of(chroma.chi(facet)) {
-                    continue;
-                }
+            // A facet containing every point contains `points[0]`, so the
+            // grid candidates of `points[0]` hold every facet that can
+            // qualify; the answer is a (card, lex) minimum, so the order
+            // they come in cannot change it.
+            'facet: for (facet, sl) in loc.candidates(first) {
                 // Union of barycentric supports of the points inside this
-                // facet: the minimal face containing them all.
-                let mut support = vec![false; facet.card()];
+                // facet, as a bitmask over its vertices (a facet has at most
+                // `MAX_PROCESSES = 28` of them): the minimal face containing
+                // them all.
+                let mut support = 0u64;
                 for p in points {
-                    let Some(lam) = sl.barycentric(p) else {
+                    let Some(lam) = sl.locate(p) else {
                         continue 'facet;
                     };
-                    if lam.iter().any(|&x| x < -gact_topology::geometry::EPS) {
-                        continue 'facet;
-                    }
-                    for (slot, &l) in support.iter_mut().zip(&lam) {
+                    for (i, &l) in lam.iter().enumerate() {
                         if l > 1e-9 {
-                            *slot = true;
+                            support |= 1 << i;
                         }
                     }
                 }
-                let mut chosen: Vec<VertexId> = facet
-                    .iter()
-                    .zip(&support)
-                    .filter(|(_, &keep)| keep)
-                    .map(|(v, _)| v)
-                    .collect();
-                if chosen.is_empty() {
+                if support == 0 || !needed.is_subset_of(chroma.chi(facet)) {
                     continue;
                 }
+                let mut chosen: Vec<VertexId> = facet
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| support >> i & 1 == 1)
+                    .map(|(_, v)| v)
+                    .collect();
                 // Complete missing required colors with the facet's unique
                 // vertex of each color (facets are rainbow).
                 let have: gact_chromatic::ColorSet =

@@ -38,7 +38,9 @@ pub struct LtShowcase {
     /// The task `L_t`.
     pub affine: AffineTask,
     /// The certificate: terminating subdivision with band-stabilization
-    /// and the solver-found `δ`.
+    /// and the solver-found `δ`. The subdivision stops at the stage that
+    /// stabilized the last band, `C_{2 + extra_stages}` (it is never
+    /// advanced past it), so `subdivision.stage() == 2 + extra_stages`.
     pub certificate: GactCertificate,
     /// Newly stable simplices per stage (the sizes of the bands
     /// `R_0, R_1, …` as built).
@@ -110,12 +112,12 @@ pub fn radial_projection_with(x: &Point, region: &ComplexLocator, n: usize, t: u
     let dir: Vec<f64> = x.iter().zip(&center).map(|(a, b)| a - b).collect();
     let mut lo = 1.0f64; // at x itself (outside)
     let mut hi = 1.0f64;
-    let point_at = |u: f64| -> Point {
-        center
-            .iter()
-            .zip(&dir)
-            .map(|(c, d)| c + u * d)
-            .collect::<Point>()
+    // Every march and bisection step writes its ray point into one buffer.
+    let mut p = vec![0.0; x.len()];
+    let point_at = |u: f64, p: &mut Point| {
+        for ((slot, c), d) in p.iter_mut().zip(&center).zip(&dir) {
+            *slot = c + u * d;
+        }
     };
     // Find a bracketing `hi` inside R_0, staying inside |s| (all coords
     // >= 0). The ray from the face center through any notch point crosses
@@ -123,7 +125,7 @@ pub fn radial_projection_with(x: &Point, region: &ComplexLocator, n: usize, t: u
     let mut found = false;
     for _ in 0..64 {
         hi *= 1.25;
-        let p = point_at(hi);
+        point_at(hi, &mut p);
         if p.iter().any(|&c| c < -1e-9) {
             break;
         }
@@ -137,13 +139,15 @@ pub fn radial_projection_with(x: &Point, region: &ComplexLocator, n: usize, t: u
     // Bisect to the boundary.
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if region.contains(&point_at(mid)) {
+        point_at(mid, &mut p);
+        if region.contains(&p) {
             hi = mid;
         } else {
             lo = mid;
         }
     }
-    point_at(hi)
+    point_at(hi, &mut p);
+    p
 }
 
 /// Builds the Proposition 9.2 certificate for `L_t` over `n + 1`
@@ -160,7 +164,13 @@ pub fn build_lt_showcase(n: usize, t: usize, extra_stages: usize) -> Result<LtSh
     let mut sub = TerminatingSubdivision::new(&task.input, &task.input_geometry);
     sub.advance_by(2); // Σ_0 = Σ_1 = ∅: C_2 = Chr² s
     let mut band_sizes = Vec::new();
-    for _ in 0..=extra_stages {
+    for band in 0..=extra_stages {
+        // No advance after the last band: nothing reads `C_{k+1}`. δ lives
+        // on the stable complex, stages come from `stage_of`, and stable
+        // vertices keep their ids, coordinates, colors and carriers.
+        if band > 0 {
+            sub.advance();
+        }
         let geometry = sub.geometry();
         // Band selection is an independent per-facet predicate: evaluate
         // it across workers, keeping canonical facet order.
@@ -178,15 +188,13 @@ pub fn build_lt_showcase(n: usize, t: usize, extra_stages: usize) -> Result<LtSh
             .collect();
         let newly = sub.stabilize(facets);
         band_sizes.push(newly);
-        sub.advance();
     }
     // Chromatic approximation δ: K(T) -> L_t, guided by the radial
     // projection.
     let stable = sub.stable_chromatic();
     let geometry = sub.geometry().clone();
     let out_geometry = affine.ambient.geometry.clone();
-    let vertex_carrier = sub
-        .current()
+    let vertex_carrier = stable
         .complex()
         .vertex_set()
         .into_iter()
@@ -298,6 +306,99 @@ mod tests {
         show.certificate
             .check_carrier_condition(&show.affine.task)
             .unwrap();
+    }
+
+    /// FNV-1a over little-endian words: a digest that is stable across
+    /// toolchains (unlike `DefaultHasher`).
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn showcase_is_pinned() {
+        // The witness the engine verifies against, pinned to the values the
+        // stepwise build gave before it stopped advancing past the last
+        // band: bands, δ, the stage of every stable simplex, and the
+        // verify reports.
+        let show = shared_showcase();
+        let cert = &show.certificate;
+        assert_eq!(show.band_sizes, [475, 714, 2118, 6330]);
+        assert_eq!(
+            cert.subdivision.stage(),
+            5,
+            "no advance after the last band"
+        );
+
+        let mut delta: Vec<(u32, u32)> = cert.map.iter().map(|(a, b)| (a.0, b.0)).collect();
+        delta.sort_unstable();
+        assert_eq!(delta.len(), 1869);
+        let words = delta
+            .iter()
+            .flat_map(|&(a, b)| [u64::from(a), u64::from(b)]);
+        assert_eq!(fnv(words), 0x432e_879a_33ee_5417, "δ changed");
+
+        let mut stages: Vec<(Vec<u32>, usize)> = cert
+            .subdivision
+            .stable_complex()
+            .iter()
+            .map(|s| {
+                let stage = cert.subdivision.stage_of(s).expect("stable");
+                (s.iter().map(|v| v.0).collect(), stage)
+            })
+            .collect();
+        stages.sort_unstable();
+        let mut per_stage = [0usize; 6];
+        for (_, stage) in &stages {
+            per_stage[*stage] += 1;
+        }
+        assert_eq!(per_stage, [0, 0, 475, 714, 2118, 6330]);
+        let words = stages.iter().flat_map(|(vs, stage)| {
+            std::iter::once(vs.len() as u64)
+                .chain(vs.iter().map(|&v| u64::from(v)))
+                .chain(std::iter::once(*stage as u64))
+        });
+        assert_eq!(fnv(words), 0xe659_b4bc_b349_352e, "stage_of changed");
+
+        let wait_free = enumerate_runs(3, 0);
+        let res1 = TResilient { n_procs: 3, t: 1 };
+        let resilient: Vec<Run> = wait_free
+            .iter()
+            .filter(|r| res1.contains(r))
+            .cloned()
+            .collect();
+        for (runs, violations, digest) in [
+            (&wait_free, 42, 0x79b1_3289_0511_fc5a),
+            (&resilient, 0, 0xeeda_d381_165f_6918),
+        ] {
+            let reports = verify_protocol_on_runs(cert, &show.affine.task, runs, 14);
+            let words: Vec<u64> = reports
+                .iter()
+                .flat_map(|r| {
+                    let mut outputs: Vec<(u8, u32)> =
+                        r.outputs.iter().map(|(p, v)| (p.0, v.0)).collect();
+                    outputs.sort_unstable();
+                    [r.rounds, r.violations.len(), outputs.len()]
+                        .map(|x| x as u64)
+                        .into_iter()
+                        .chain(
+                            outputs
+                                .into_iter()
+                                .flat_map(|(p, v)| [u64::from(p), u64::from(v)]),
+                        )
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let total: usize = reports.iter().map(|r| r.violations.len()).sum();
+            assert_eq!(total, violations, "{} runs", runs.len());
+            assert_eq!(fnv(words), digest, "verify reports on {} runs", runs.len());
+        }
     }
 
     #[test]

@@ -34,6 +34,11 @@
 //! index space from a shared atomic cursor, so an early-finishing worker
 //! picks up the remainder of a slow one's range.
 //!
+//! A scope owner waiting for its closures helps run only *its own* queued
+//! closures, never unrelated pool work: the owner may hold a lock (a
+//! cache's single-flight build guard) that an unrelated job needs, and
+//! running that job on the owner's stack would wait on the owner itself.
+//!
 //! Panics propagate: a panicking spawned closure poisons its scope, which
 //! finishes draining (memory safety for borrowed data) and then resumes
 //! the first panic on the caller.
@@ -48,7 +53,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A queued closure and the scope that spawned it (the address of its
+/// `ScopeState`, unique while the scope waits for its jobs).
+struct Job {
+    scope: usize,
+    run: Box<dyn FnOnce() + Send + 'static>,
+}
 
 /// One worker's deque. Own pops come from the front (LIFO relative to own
 /// pushes, which also go to the front); steals come from the back.
@@ -148,8 +158,7 @@ impl Pool {
     }
 
     /// Pops any available job: injector first, then steal from the back of
-    /// every worker deque. Used by scope owners helping out and by workers
-    /// whose own deque is empty.
+    /// every worker deque. Used by workers whose own deque is empty.
     fn try_steal(&self, skip: Option<usize>) -> Option<Job> {
         if let Some(job) = self
             .shared
@@ -174,6 +183,23 @@ impl Pool {
         }
         None
     }
+
+    /// Takes a queued job spawned by `scope` (the id of a `ScopeState`),
+    /// from the injector or any worker deque. Used by scope owners
+    /// helping out while they wait.
+    fn take_scope_job(&self, scope: usize) -> Option<Job> {
+        let take = |jobs: &mut VecDeque<Job>| {
+            let at = jobs.iter().position(|job| job.scope == scope)?;
+            jobs.remove(at)
+        };
+        if let Some(job) = take(&mut self.shared.injector.lock().expect("pool injector lock")) {
+            return Some(job);
+        }
+        let queues = self.shared.queues.read().expect("pool queues lock");
+        queues
+            .iter()
+            .find_map(|q| take(&mut q.jobs.lock().expect("worker deque lock")))
+    }
 }
 
 fn worker_main(shared: Arc<Shared>, own: Arc<WorkerQueue>, index: usize) {
@@ -185,7 +211,7 @@ fn worker_main(shared: Arc<Shared>, own: Arc<WorkerQueue>, index: usize) {
         let own_job = own.jobs.lock().expect("worker deque lock").pop_front();
         let job = own_job.or_else(|| pool().try_steal(Some(index)));
         match job {
-            Some(job) => job(),
+            Some(job) => (job.run)(),
             None => {
                 let guard = shared.sleep_lock.lock().expect("pool sleep lock");
                 // Re-check under the sleep lock: a pusher enqueues first
@@ -285,6 +311,15 @@ struct ScopeState {
     done_cv: Condvar,
 }
 
+impl ScopeState {
+    /// The id that tags this scope's queued jobs: its address, which no
+    /// other live scope shares, and `scope` does not return while a job
+    /// tagged with it is still queued.
+    fn id(&self) -> usize {
+        self as *const ScopeState as usize
+    }
+}
+
 /// A fork/join scope: closures spawned on it may borrow from the enclosing
 /// stack frame and are guaranteed to finish before [`scope`] returns.
 pub struct Scope<'env> {
@@ -327,8 +362,15 @@ impl<'env> Scope<'env> {
         // to zero, so the erased-lifetime closure cannot outlive the data
         // it borrows. This is the standard scoped-task erasure (same shape
         // as `std::thread::scope`'s internals).
-        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-        pool().push(job);
+        let run = unsafe {
+            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send + 'static>>(
+                job,
+            )
+        };
+        pool().push(Job {
+            scope: self.state.id(),
+            run,
+        });
     }
 }
 
@@ -365,12 +407,13 @@ pub fn scope<'env, R>(f: impl FnOnce(&Scope<'env>) -> R) -> R {
     let body = catch_unwind(AssertUnwindSafe(|| f(&s)));
     // Help drain until all spawned tasks completed. Required for memory
     // safety even when the body panicked: tasks borrow the caller's frame.
-    // `skip: None` deliberately includes this thread's own worker deque:
-    // a nested scope on a worker spawns onto that deque, and nobody else
-    // is guaranteed to steal from it.
+    // Only this scope's jobs are taken (see the module docs), from every
+    // queue including this thread's own worker deque: a nested scope on a
+    // worker spawns onto that deque, and nobody else is guaranteed to
+    // steal from it.
     while s.state.pending.load(Ordering::SeqCst) > 0 {
-        match pool().try_steal(None) {
-            Some(job) => job(),
+        match pool().take_scope_job(s.state.id()) {
+            Some(job) => (job.run)(),
             None => {
                 let guard = s.state.done_lock.lock().expect("scope done lock");
                 if s.state.pending.load(Ordering::SeqCst) == 0 {
@@ -544,6 +587,38 @@ mod tests {
             })
         });
         assert_eq!(total.load(Ordering::SeqCst), data.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn waiting_scope_owner_runs_only_its_own_jobs() {
+        // Regression: a scope owner used to help with *any* queued job. An
+        // owner holding a lock could then pick up an unrelated job needing
+        // the same lock and wait on itself forever — the deadlock of
+        // parallel sweeps sharing a single-flight cache build guard.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            let lock = Mutex::new(());
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+            with_threads(2, || {
+                scope(|outer| {
+                    // Keeps a worker busy until the inner scope is done, so
+                    // the next job stays queued while the lock is held.
+                    outer.spawn(move || {
+                        let _ = release_rx.recv();
+                    });
+                    outer.spawn(|| drop(lock.lock().expect("test lock")));
+                    let held = lock.lock().expect("test lock");
+                    scope(|inner| inner.spawn(|| {}));
+                    drop(held);
+                    release_tx.send(()).expect("busy job is waiting");
+                })
+            });
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("scope owner deadlocked on an unrelated job");
+        scenario.join().expect("scenario thread");
     }
 
     #[test]

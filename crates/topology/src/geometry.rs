@@ -355,16 +355,18 @@ mod tests {
 /// queries cost one matrix–vector product instead of a fresh elimination,
 /// and a padded bounding box rejects far-away query points before any
 /// linear algebra runs.
+///
+/// Everything lives in one contiguous slice: the `k × d` vertex
+/// coordinates (row per vertex), the `k × k` inverse of the normal
+/// matrix, then the padded box's `d` minima and `d` maxima. Any point the
+/// exact predicate accepts lies inside the padded box (see `contains`),
+/// so the box is a pure pre-filter: rejecting outside it can never
+/// change a containment answer.
 #[derive(Clone, Debug)]
 pub struct SimplexLocator {
-    verts: Vec<Point>,
-    inv: Vec<Vec<f64>>, // inverse of the (k×k) normal matrix
-    /// Componentwise min/max of the vertex coordinates, padded by
-    /// `BBOX_PAD`. Any point the exact predicate accepts lies inside the
-    /// padded box (see `contains`), so the box is a pure pre-filter:
-    /// rejecting outside it can never change a containment answer.
-    bbox_min: Point,
-    bbox_max: Point,
+    k: usize,
+    d: usize,
+    data: Box<[f64]>,
 }
 
 /// Base padding of the [`SimplexLocator`] bounding box. The exact
@@ -374,13 +376,13 @@ pub struct SimplexLocator {
 /// coordinate outside the convex hull, so the effective pad scales with
 /// the locator's coordinate magnitude (see `SimplexLocator::new`) and
 /// strictly contains every acceptable point at any geometry scale.
-const BBOX_PAD: f64 = 1e-6;
+pub const BBOX_PAD: f64 = 1e-6;
 
 impl SimplexLocator {
     /// Prepares the locator for the simplex `s` realized by `g`. Returns
     /// `None` when the realization is affinely degenerate.
     pub fn new(g: &Geometry, s: &Simplex) -> Option<Self> {
-        let verts: Vec<Point> = s.iter().map(|v| g.coord(v).clone()).collect();
+        let verts: Vec<&Point> = s.iter().map(|v| g.coord(v)).collect();
         let k = verts.len();
         let d = verts[0].len();
         let mut a = vec![vec![0.0; k]; k];
@@ -402,53 +404,82 @@ impl SimplexLocator {
             .flat_map(|v| v.iter())
             .fold(1.0f64, |m, &x| m.max(x.abs()));
         let pad = BBOX_PAD * scale;
-        let mut bbox_min = vec![f64::INFINITY; d];
-        let mut bbox_max = vec![f64::NEG_INFINITY; d];
+        let mut data = Vec::with_capacity(k * d + k * k + 2 * d);
         for v in &verts {
-            for t in 0..d {
-                bbox_min[t] = bbox_min[t].min(v[t] - pad);
-                bbox_max[t] = bbox_max[t].max(v[t] + pad);
-            }
+            data.extend_from_slice(v);
         }
+        for row in &inv {
+            data.extend_from_slice(row);
+        }
+        data.extend((0..d).map(|t| verts.iter().fold(f64::INFINITY, |lo, v| lo.min(v[t] - pad))));
+        data.extend((0..d).map(|t| {
+            verts
+                .iter()
+                .fold(f64::NEG_INFINITY, |hi, v| hi.max(v[t] + pad))
+        }));
         Some(SimplexLocator {
-            verts,
-            inv,
-            bbox_min,
-            bbox_max,
+            k,
+            d,
+            data: data.into_boxed_slice(),
         })
+    }
+
+    /// Coordinates of the `i`-th vertex.
+    #[inline]
+    fn vert(&self, i: usize) -> &[f64] {
+        &self.data[i * self.d..(i + 1) * self.d]
+    }
+
+    /// Row `i` of the inverse normal matrix.
+    #[inline]
+    fn inv_row(&self, i: usize) -> &[f64] {
+        let start = self.k * self.d + i * self.k;
+        &self.data[start..start + self.k]
+    }
+
+    /// The padded box as `(minima, maxima)`.
+    #[inline]
+    fn bbox(&self) -> (&[f64], &[f64]) {
+        let start = self.k * self.d + self.k * self.k;
+        self.data[start..].split_at(self.d)
     }
 
     /// Whether `p` lies inside the padded bounding box (the cheap
     /// pre-filter `contains` runs before the barycentric solve).
     #[inline]
     fn in_bbox(&self, p: &[f64]) -> bool {
+        let (lo, hi) = self.bbox();
         p.iter()
-            .zip(self.bbox_min.iter().zip(&self.bbox_max))
+            .zip(lo.iter().zip(hi))
             .all(|(&x, (&lo, &hi))| x >= lo && x <= hi)
     }
 
     /// Barycentric coordinates of `p`, or `None` if `p` is off the affine
     /// span (residual above tolerance).
     pub fn barycentric(&self, p: &[f64]) -> Option<Vec<f64>> {
-        let k = self.verts.len();
+        let k = self.k;
         let d = p.len();
         let mut b = vec![0.0; k];
         for i in 0..k {
+            let v = self.vert(i);
             let mut dot = 1.0;
             for t in 0..d {
-                dot += self.verts[i][t] * p[t];
+                dot += v[t] * p[t];
             }
             b[i] = dot;
         }
         let lambda: Vec<f64> = (0..k)
-            .map(|i| (0..k).map(|j| self.inv[i][j] * b[j]).sum())
+            .map(|i| {
+                let row = self.inv_row(i);
+                (0..k).map(|j| row[j] * b[j]).sum()
+            })
             .collect();
         // Residual check against the original system.
         let mut residual: f64 = (lambda.iter().sum::<f64>() - 1.0).abs();
         for t in 0..d {
             let mut x = 0.0;
             for i in 0..k {
-                x += lambda[i] * self.verts[i][t];
+                x += lambda[i] * self.vert(i)[t];
             }
             residual = residual.max((x - p[t]).abs());
         }
@@ -468,30 +499,217 @@ impl SimplexLocator {
     /// an answer — it only skips the matrix–vector solve for the bulk of
     /// far-away queries.
     pub fn contains(&self, p: &[f64]) -> bool {
+        self.locate(p).is_some()
+    }
+
+    /// `p`'s barycentric coordinates if `p` lies in the closed realized
+    /// simplex (the same predicate as [`SimplexLocator::contains`], box
+    /// pre-filter included), `None` otherwise.
+    pub fn locate(&self, p: &[f64]) -> Option<Vec<f64>> {
         if !self.in_bbox(p) {
-            return false;
+            return None;
         }
         self.barycentric(p)
-            .map(|l| l.iter().all(|&x| x >= -EPS))
-            .unwrap_or(false)
+            .filter(|lam| lam.iter().all(|&x| x >= -EPS))
     }
 }
 
-/// Point location over a family of facets, with prepared per-facet
-/// locators.
+/// Grid cells per facet: the resolution is the largest `r` with
+/// `r^axes ≤ CELLS_PER_FACET · facets`, so the cell table stays linear in
+/// the facet count in every dimension.
+const CELLS_PER_FACET: usize = 2;
+
+/// Bound on the grid's facet-id list, per facet. Facets whose boxes span
+/// many cells (long, thin simplices) could otherwise make the list
+/// quadratic; the resolution is halved until the list fits. One cell per
+/// facet always fits, so the bound never fails.
+const ENTRIES_PER_FACET: usize = 16;
+
+/// A uniform grid over the first `axes` coordinates of the ambient space,
+/// listing for each cell the facets whose padded box meets it, as flat
+/// CSR arrays. Points of a realized complex satisfy `Σx = 1`, so the last
+/// coordinate is determined by the others and is left unindexed.
+///
+/// Soundness: a facet box and a query point go through the same cell map,
+/// which is monotone in each coordinate (`floor` of `(x − lo)·scale`,
+/// saturated into `0..res`). A point inside a box therefore has, on every
+/// axis, a cell index between those of the box corners, so its cell lists
+/// every facet whose box contains it — and every facet whose exact
+/// predicate accepts it.
+#[derive(Clone, Debug)]
+struct Grid {
+    axes: usize,
+    res: usize,
+    lo: Vec<f64>,
+    scale: Vec<f64>,
+    /// Cell `c` lists facets `ids[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    /// Facet indices, ascending within each cell.
+    ids: Vec<u32>,
+}
+
+impl Grid {
+    fn new(ambient: usize, facets: &[(Simplex, SimplexLocator)]) -> Self {
+        let axes = ambient.saturating_sub(1);
+        let mut lo = vec![f64::INFINITY; axes];
+        let mut hi = vec![f64::NEG_INFINITY; axes];
+        for (_, l) in facets {
+            let (bmin, bmax) = l.bbox();
+            for a in 0..axes {
+                lo[a] = lo[a].min(bmin[a]);
+                hi[a] = hi[a].max(bmax[a]);
+            }
+        }
+        let mut grid = Grid {
+            axes,
+            res: resolution(axes, CELLS_PER_FACET * facets.len().max(1)),
+            lo,
+            scale: vec![0.0; axes],
+            offsets: Vec::new(),
+            ids: Vec::new(),
+        };
+        // Per facet and axis, the inclusive range of cells its box meets:
+        // facet `f`'s ranges are `spans[f * axes..(f + 1) * axes]`.
+        let mut spans = vec![(0usize, 0usize); facets.len() * axes];
+        let entries = loop {
+            for a in 0..axes {
+                let width = hi[a] - grid.lo[a];
+                grid.scale[a] = if width > 0.0 && width.is_finite() {
+                    grid.res as f64 / width
+                } else {
+                    0.0
+                };
+            }
+            let mut entries = 0usize;
+            for (f, (_, l)) in facets.iter().enumerate() {
+                let (bmin, bmax) = l.bbox();
+                let span = &mut spans[f * axes..(f + 1) * axes];
+                for a in 0..axes {
+                    span[a] = (grid.axis_cell(a, bmin[a]), grid.axis_cell(a, bmax[a]));
+                }
+                let cells = span
+                    .iter()
+                    .fold(1usize, |n, &(a, b)| n.saturating_mul(b - a + 1));
+                entries = entries.saturating_add(cells);
+            }
+            if grid.res == 1 || entries <= ENTRIES_PER_FACET * facets.len() {
+                break entries;
+            }
+            grid.res /= 2;
+        };
+        // Offsets and ids are u32: every prefix sum is at most `entries`,
+        // and every facet index is below it.
+        assert!(
+            u32::try_from(entries).is_ok(),
+            "grid index too large: {entries} entries"
+        );
+        // Two passes: count per cell, prefix-sum into offsets, then fill
+        // in facet order so each cell's ids come out ascending.
+        let cells = grid.res.pow(axes as u32);
+        let mut offsets = vec![0u32; cells + 1];
+        for f in 0..facets.len() {
+            grid.for_each_cell(&spans[f * axes..(f + 1) * axes], |c| offsets[c + 1] += 1);
+        }
+        for c in 0..cells {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..cells].to_vec();
+        let mut ids = vec![0u32; offsets[cells] as usize];
+        for f in 0..facets.len() {
+            grid.for_each_cell(&spans[f * axes..(f + 1) * axes], |c| {
+                ids[cursor[c] as usize] = f as u32;
+                cursor[c] += 1;
+            });
+        }
+        grid.offsets = offsets;
+        grid.ids = ids;
+        grid
+    }
+
+    /// Cell index of coordinate `x` along axis `a`. Monotone in `x`:
+    /// negative and NaN values saturate to 0, large ones to `res − 1`.
+    #[inline]
+    fn axis_cell(&self, a: usize, x: f64) -> usize {
+        (((x - self.lo[a]) * self.scale[a]).floor() as usize).min(self.res - 1)
+    }
+
+    /// Row-major index of the cell with per-axis indices `idx(a)`.
+    #[inline]
+    fn linear(&self, idx: impl DoubleEndedIterator<Item = usize>) -> usize {
+        idx.rev().fold(0, |acc, i| acc * self.res + i)
+    }
+
+    /// Calls `f` with the index of every cell in the per-axis inclusive
+    /// ranges `span`.
+    fn for_each_cell(&self, span: &[(usize, usize)], mut f: impl FnMut(usize)) {
+        let mut idx: Vec<usize> = span.iter().map(|&(a, _)| a).collect();
+        loop {
+            f(self.linear(idx.iter().copied()));
+            // Odometer step; done when every axis has wrapped.
+            let mut a = 0;
+            loop {
+                if a == span.len() {
+                    return;
+                }
+                if idx[a] < span[a].1 {
+                    idx[a] += 1;
+                    break;
+                }
+                idx[a] = span[a].0;
+                a += 1;
+            }
+        }
+    }
+
+    /// The facet indices listed in `p`'s cell.
+    #[inline]
+    fn candidates(&self, p: &[f64]) -> &[u32] {
+        let c = self.linear((0..self.axes).map(|a| self.axis_cell(a, p[a])));
+        &self.ids[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+}
+
+/// The largest `r ≥ 1` with `r^axes ≤ cap`.
+fn resolution(axes: usize, cap: usize) -> usize {
+    if axes == 0 {
+        return 1;
+    }
+    let fits = |r: usize| r.checked_pow(axes as u32).is_some_and(|c| c <= cap);
+    let mut r = ((cap as f64).powf(1.0 / axes as f64).floor() as usize).max(1);
+    while r > 1 && !fits(r) {
+        r -= 1;
+    }
+    while fits(r + 1) {
+        r += 1;
+    }
+    r
+}
+
+/// Point location over a family of facets: prepared per-facet locators
+/// behind a uniform grid index, so a query runs the exact predicate only
+/// on the facets listed in its grid cell (a superset of the facets that
+/// can contain it; see `Grid`).
 #[derive(Clone, Debug)]
 pub struct ComplexLocator {
+    ambient: usize,
     facets: Vec<(Simplex, SimplexLocator)>,
+    grid: Grid,
 }
 
 impl ComplexLocator {
-    /// Prepares locators for the given facets (degenerate ones skipped).
+    /// Prepares locators for the given facets (degenerate ones skipped)
+    /// and indexes them.
     pub fn new<'a, I: IntoIterator<Item = &'a Simplex>>(g: &Geometry, facets: I) -> Self {
-        let facets = facets
+        let facets: Vec<(Simplex, SimplexLocator)> = facets
             .into_iter()
             .filter_map(|s| SimplexLocator::new(g, s).map(|l| (s.clone(), l)))
             .collect();
-        ComplexLocator { facets }
+        let grid = Grid::new(g.ambient_dim(), &facets);
+        ComplexLocator {
+            ambient: g.ambient_dim(),
+            facets,
+            grid,
+        }
     }
 
     /// The prepared facets.
@@ -514,27 +732,34 @@ impl ComplexLocator {
         self.facets.is_empty()
     }
 
+    /// The `(facet, prepared locator)` pairs listed in `p`'s grid cell, in
+    /// facet order: every facet whose realization contains `p` is among
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` does not have the ambient coordinate length.
+    pub fn candidates(&self, p: &[f64]) -> impl Iterator<Item = (&Simplex, &SimplexLocator)> {
+        assert_eq!(p.len(), self.ambient, "point must have the ambient length");
+        self.grid.candidates(p).iter().map(|&i| {
+            let (s, l) = &self.facets[i as usize];
+            (s, l)
+        })
+    }
+
     /// Whether any facet contains `p`.
     pub fn contains(&self, p: &[f64]) -> bool {
-        self.facets.iter().any(|(_, l)| l.contains(p))
+        self.candidates(p).any(|(_, l)| l.contains(p))
     }
 
     /// Iterates over `(facet, barycentric coordinates)` for every facet
-    /// containing `p`.
+    /// containing `p`, in facet order.
     pub fn containing<'a>(
         &'a self,
         p: &'a [f64],
     ) -> impl Iterator<Item = (&'a Simplex, Vec<f64>)> + 'a {
-        self.facets.iter().filter_map(move |(s, l)| {
-            if !l.in_bbox(p) {
-                // Same soundness argument as `SimplexLocator::contains`:
-                // any accepted point lies inside the padded box.
-                return None;
-            }
-            l.barycentric(p)
-                .filter(|lam| lam.iter().all(|&x| x >= -EPS))
-                .map(|lam| (s, lam))
-        })
+        self.candidates(p)
+            .filter_map(move |(s, l)| l.locate(p).map(|lam| (s, lam)))
     }
 }
 
@@ -616,6 +841,29 @@ mod locator_tests {
         assert_eq!(hits.len(), 1);
         // Zero barycentric coordinate on the off-edge vertex.
         assert!(hits[0].1[2].abs() < 1e-9);
+    }
+
+    #[test]
+    fn grid_size_is_linear_in_the_facet_count() {
+        assert_eq!(resolution(0, 100), 1);
+        assert_eq!(resolution(1, 7), 7);
+        assert_eq!(resolution(2, 5900), 76);
+        assert_eq!(resolution(3, 8), 2);
+        assert_eq!(resolution(27, 5900), 1, "high dimensions get one cell");
+        // Facets whose boxes cover the whole grid: the id list would be
+        // quadratic, so the resolution drops until it is not.
+        let g = standard_simplex_geometry(2);
+        let whole = vec![Simplex::from_iter([0u32, 1, 2]); 50];
+        let loc = ComplexLocator::new(&g, whole.iter());
+        assert!(loc.grid.offsets.len() - 1 <= CELLS_PER_FACET * 50);
+        assert!(loc.grid.ids.len() <= ENTRIES_PER_FACET * 50);
+        assert_eq!(loc.candidates(&[0.2, 0.3, 0.5]).count(), 50);
+        // The standard 27-simplex: one facet, one cell.
+        let g = standard_simplex_geometry(27);
+        let top = Simplex::from_iter(0u32..28);
+        let loc = ComplexLocator::new(&g, [&top]);
+        assert_eq!(loc.grid.offsets, [0, 1]);
+        assert!(loc.contains(&[1.0 / 28.0; 28]));
     }
 
     #[test]
